@@ -53,13 +53,25 @@ func sameSeismos(t *testing.T, tag string, want, got map[string]*solver.Seismogr
 // seismograms bit-identical to two fresh core.Run calls. Both the
 // plain and the doubled globe (whose mesh carries the multi-rate
 // doubling structure) are covered.
+//
+// The doubled globe runs only 10 steps at NEX 8, which carries the
+// wavefront a few hundred km: the reference stations, 60° and more from
+// both events, record nothing but sub-floor precursor noise, which the
+// solver flushes to zero. Each of its runs records instead at a station
+// on its own event's epicenter, so the non-vacuity guard of sameSeismos
+// sees physical signal.
 func TestSessionReuseMatchesFreshRuns(t *testing.T) {
+	epicenter := func(e Event) []stations.Station {
+		return []stations.Station{{Name: "EPI", Network: "XX", LatDeg: e.LatDeg, LonDeg: e.LonDeg}}
+	}
+	ref := stations.ReferenceStations()[:2]
 	cases := []struct {
-		name      string
-		doublings []float64
+		name       string
+		doublings  []float64
+		sts1, sts2 []stations.Station // stations of the first and second run
 	}{
-		{"plain-globe", nil},
-		{"doubled-globe", []float64{5200e3, 3000e3}},
+		{"plain-globe", nil, ref, ref},
+		{"doubled-globe", []float64{5200e3, 3000e3}, epicenter(testEvent), epicenter(secondEvent)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -68,7 +80,6 @@ func TestSessionReuseMatchesFreshRuns(t *testing.T) {
 				Model:     smallModel(),
 				Doublings: c.doublings,
 				Steps:     20,
-				Stations:  stations.ReferenceStations()[:2],
 			}
 			if c.doublings != nil {
 				cfg.NexXi = 8
@@ -78,24 +89,25 @@ func TestSessionReuseMatchesFreshRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sts := cfg.Stations
-			rep1, err := s.Run(Scenario{Name: "a", Event: testEvent, Stations: sts})
+			rep1, err := s.Run(Scenario{Name: "a", Event: testEvent, Stations: c.sts1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep2, err := s.Run(Scenario{Name: "b", Event: secondEvent, Stations: sts})
+			rep2, err := s.Run(Scenario{Name: "b", Event: secondEvent, Stations: c.sts2})
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			cfg1 := cfg
 			cfg1.Event = testEvent
+			cfg1.Stations = c.sts1
 			fresh1, err := Run(cfg1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg2 := cfg
 			cfg2.Event = secondEvent
+			cfg2.Stations = c.sts2
 			fresh2, err := Run(cfg2)
 			if err != nil {
 				t.Fatal(err)

@@ -366,7 +366,8 @@ func (rs *rankState) refreshTractionShadow() {
 // lists read the held acceleration of the previous firing (the live
 // slot has been polluted by firing neighbors during the dormant
 // window). The ensemble loop runs inside the dispatched chunk, so one
-// pool pass covers all wavefields.
+// pool pass covers all wavefields. Values below underflowFloor flush to
+// zero exactly as in the single-rate predictor.
 func (rs *rankState) solidPredictorLTS(fs []*solidField, pts *ltsPoints) {
 	n := 0
 	for li := 0; li <= rs.lts.level; li++ {
@@ -382,12 +383,12 @@ func (rs *rankState) solidPredictorLTS(fs []*solidField, pts *ltsPoints) {
 				for _, f := range fs {
 					for q := lo; q < hi; q++ {
 						i := list[q]
-						f.dx[i] += dtr*f.vx[i] + halfSq*f.ax[i]
-						f.dy[i] += dtr*f.vy[i] + halfSq*f.ay[i]
-						f.dz[i] += dtr*f.vz[i] + halfSq*f.az[i]
-						f.vx[i] += half * f.ax[i]
-						f.vy[i] += half * f.ay[i]
-						f.vz[i] += half * f.az[i]
+						f.dx[i] = flushTiny(f.dx[i] + (dtr*f.vx[i] + halfSq*f.ax[i]))
+						f.dy[i] = flushTiny(f.dy[i] + (dtr*f.vy[i] + halfSq*f.ay[i]))
+						f.dz[i] = flushTiny(f.dz[i] + (dtr*f.vz[i] + halfSq*f.az[i]))
+						f.vx[i] = flushTiny(f.vx[i] + half*f.ax[i])
+						f.vy[i] = flushTiny(f.vy[i] + half*f.ay[i])
+						f.vz[i] = flushTiny(f.vz[i] + half*f.az[i])
 						f.ax[i], f.ay[i], f.az[i] = 0, 0, 0
 					}
 				}
@@ -400,12 +401,12 @@ func (rs *rankState) solidPredictorLTS(fs []*solidField, pts *ltsPoints) {
 					for q := lo; q < hi; q++ {
 						i := list[q]
 						ax, ay, az := hx[q], hy[q], hz[q]
-						f.dx[i] += dtr*f.vx[i] + halfSq*ax
-						f.dy[i] += dtr*f.vy[i] + halfSq*ay
-						f.dz[i] += dtr*f.vz[i] + halfSq*az
-						f.vx[i] += half * ax
-						f.vy[i] += half * ay
-						f.vz[i] += half * az
+						f.dx[i] = flushTiny(f.dx[i] + (dtr*f.vx[i] + halfSq*ax))
+						f.dy[i] = flushTiny(f.dy[i] + (dtr*f.vy[i] + halfSq*ay))
+						f.dz[i] = flushTiny(f.dz[i] + (dtr*f.vz[i] + halfSq*az))
+						f.vx[i] = flushTiny(f.vx[i] + half*ax)
+						f.vy[i] = flushTiny(f.vy[i] + half*ay)
+						f.vz[i] = flushTiny(f.vz[i] + half*az)
 						f.ax[i], f.ay[i], f.az[i] = 0, 0, 0
 					}
 				}
@@ -436,8 +437,8 @@ func (rs *rankState) fluidPredictorLTS(pts *ltsPoints) {
 				for _, fl := range fls {
 					for q := lo; q < hi; q++ {
 						i := list[q]
-						fl.chi[i] += dtr*fl.chiDot[i] + halfSq*fl.chiDdot[i]
-						fl.chiDot[i] += half * fl.chiDdot[i]
+						fl.chi[i] = flushTiny(fl.chi[i] + (dtr*fl.chiDot[i] + halfSq*fl.chiDdot[i]))
+						fl.chiDot[i] = flushTiny(fl.chiDot[i] + half*fl.chiDdot[i])
 						fl.chiDdot[i] = 0
 					}
 				}
@@ -450,8 +451,8 @@ func (rs *rankState) fluidPredictorLTS(pts *ltsPoints) {
 					for q := lo; q < hi; q++ {
 						i := list[q]
 						a := h[q]
-						fl.chi[i] += dtr*fl.chiDot[i] + halfSq*a
-						fl.chiDot[i] += half * a
+						fl.chi[i] = flushTiny(fl.chi[i] + (dtr*fl.chiDot[i] + halfSq*a))
+						fl.chiDot[i] = flushTiny(fl.chiDot[i] + half*a)
 						fl.chiDdot[i] = 0
 					}
 				}
@@ -481,9 +482,9 @@ func (rs *rankState) solidCorrectorLTS(fs []*solidField, pts *ltsPoints) {
 				for _, f := range fs {
 					for q := lo; q < hi; q++ {
 						i := list[q]
-						f.vx[i] += half * f.ax[i]
-						f.vy[i] += half * f.ay[i]
-						f.vz[i] += half * f.az[i]
+						f.vx[i] = flushTiny(f.vx[i] + half*f.ax[i])
+						f.vy[i] = flushTiny(f.vy[i] + half*f.ay[i])
+						f.vz[i] = flushTiny(f.vz[i] + half*f.az[i])
 					}
 				}
 			})
@@ -494,9 +495,9 @@ func (rs *rankState) solidCorrectorLTS(fs []*solidField, pts *ltsPoints) {
 					hx, hy, hz := f.hx[li], f.hy[li], f.hz[li]
 					for q := lo; q < hi; q++ {
 						i := list[q]
-						f.vx[i] += half * f.ax[i]
-						f.vy[i] += half * f.ay[i]
-						f.vz[i] += half * f.az[i]
+						f.vx[i] = flushTiny(f.vx[i] + half*f.ax[i])
+						f.vy[i] = flushTiny(f.vy[i] + half*f.ay[i])
+						f.vz[i] = flushTiny(f.vz[i] + half*f.az[i])
 						hx[q], hy[q], hz[q] = f.ax[i], f.ay[i], f.az[i]
 					}
 				}
@@ -524,7 +525,7 @@ func (rs *rankState) fluidCorrectorLTS(pts *ltsPoints) {
 				for _, fl := range fls {
 					for q := lo; q < hi; q++ {
 						i := list[q]
-						fl.chiDot[i] += half * fl.chiDdot[i]
+						fl.chiDot[i] = flushTiny(fl.chiDot[i] + half*fl.chiDdot[i])
 					}
 				}
 			})
@@ -535,7 +536,7 @@ func (rs *rankState) fluidCorrectorLTS(pts *ltsPoints) {
 					h := fl.hChi[li]
 					for q := lo; q < hi; q++ {
 						i := list[q]
-						fl.chiDot[i] += half * fl.chiDdot[i]
+						fl.chiDot[i] = flushTiny(fl.chiDot[i] + half*fl.chiDdot[i])
 						h[q] = fl.chiDdot[i]
 					}
 				}

@@ -398,18 +398,9 @@ func Run(sim *Simulation) (*Result, error) {
 	}
 
 	// Attenuation fit shared by all ranks.
-	var slsFit *earthmodel.SLSFit
-	if opts.Attenuation {
-		band := opts.AttenuationBand
-		if band[0] == 0 || band[1] == 0 {
-			// Center the band on frequencies the mesh can carry.
-			band = [2]float64{1.0 / (400 * dt), 1.0 / (20 * dt)}
-		}
-		fit, err := earthmodel.FitAttenuation(band[0], band[1], earthmodel.DefaultNSLS)
-		if err != nil {
-			return nil, err
-		}
-		slsFit = fit
+	slsFit, err := attenuationFit(&opts, dt)
+	if err != nil {
+		return nil, err
 	}
 	// Gravity profile shared by all ranks.
 	var grav *earthmodel.GravityProfile
@@ -539,6 +530,20 @@ func Run(sim *Simulation) (*Result, error) {
 		return res, unstable
 	}
 	return res, nil
+}
+
+// attenuationFit returns the SLS fit every rank shares, or nil when
+// attenuation is off.
+func attenuationFit(opts *Options, dt float64) (*earthmodel.SLSFit, error) {
+	if !opts.Attenuation {
+		return nil, nil
+	}
+	band := opts.AttenuationBand
+	if band[0] == 0 || band[1] == 0 {
+		// Center the band on frequencies the mesh can carry.
+		band = [2]float64{1.0 / (400 * dt), 1.0 / (20 * dt)}
+	}
+	return earthmodel.FitAttenuation(band[0], band[1], earthmodel.DefaultNSLS)
 }
 
 // stableDt returns the automatic global time step.

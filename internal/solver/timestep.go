@@ -1,9 +1,45 @@
 package solver
 
 import (
+	"math"
+
 	"specglobe/internal/earthmodel"
 	"specglobe/internal/perf"
 )
+
+// underflowFloor is the magnitude below which the pointwise update
+// loops (predictors, mass divisions, Coriolis/gravity/ocean terms,
+// correctors) flush the dynamic values they store to exactly zero:
+// 2^-100 ≈ 7.9e-31 in SI units (m, m/s, m/s² for the solid fields;
+// kg/m and its time derivatives for the fluid potential). Float32
+// arithmetic on subnormal operands runs 10-100x slower on common CPUs,
+// and the numerical precursor ahead of a wavefront fills the field with
+// values that underflow step after step; without the flush the cost of
+// a step depends on the values in the wavefield. The floor sits ~20
+// orders of magnitude below any recorded amplitude of a realistic
+// event, and high enough that the force-kernel intermediates (strains
+// ~1e-6 x the displacement at the coarsest mesh spacing) stay normal.
+// See DESIGN.md "Underflow floor".
+const underflowFloor = 0x1p-100
+
+// floorBits is the float32 bit pattern of underflowFloor.
+const floorBits = uint32(127-100) << 23
+
+// flushTiny returns 0 for |x| < underflowFloor and x otherwise. It
+// compares the magnitude bits (sign masked off) with the floor's; the
+// bit patterns of non-negative float32 values order like the values, so
+// values at or above the floor keep every bit including the sign, and
+// NaN and ±Inf (all-ones exponent) compare above and pass through
+// unchanged, so the stability check still sees them. The branch is
+// taken for zeros and at a wavefront's leading edge, both spatially
+// coherent, so it predicts well; measured on a 2-CPU x86-64 VM it costs
+// about half what a branch-free sign-mask select does.
+func flushTiny(x float32) float32 {
+	if math.Float32bits(x)&0x7fffffff < floorBits {
+		return 0
+	}
+	return x
+}
 
 // timeStep advances the coupled system by one explicit Newmark step:
 //
@@ -14,6 +50,11 @@ import (
 //  3. solid: a = M^-1 (-K u + sources + fluid traction), assembled,
 //     then the pointwise Coriolis / gravity / ocean-load corrections,
 //  4. corrector: v += dt/2 a.
+//
+// Every pointwise loop of steps 1-4 (not the element force kernels)
+// stores its dynamic values through flushTiny, so the displacement,
+// velocity and acceleration a step leaves behind are never subnormal
+// (see underflowFloor).
 //
 // Because the fluid acceleration is final before the solid uses it, the
 // fluid-solid coupling needs no iteration (section 1: "non-iterative
@@ -60,7 +101,9 @@ func (rs *rankState) timeStep(step int) {
 
 // predictor runs the Newmark prediction for every field: full-range
 // without LTS (or for a single-rate region), per-rate firing lists with
-// it.
+// it. Every predictor writes its displacement and velocity (potential
+// and its rate) through flushTiny — the loop already touches each
+// entry once per step, so the underflow flush costs no memory pass.
 func (rs *rankState) predictor() {
 	dt := float32(rs.dt)
 	half := dt / 2
@@ -77,12 +120,12 @@ func (rs *rankState) predictor() {
 		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
 			for _, f := range fs {
 				for i := lo; i < hi; i++ {
-					f.dx[i] += dt*f.vx[i] + halfSq*f.ax[i]
-					f.dy[i] += dt*f.vy[i] + halfSq*f.ay[i]
-					f.dz[i] += dt*f.vz[i] + halfSq*f.az[i]
-					f.vx[i] += half * f.ax[i]
-					f.vy[i] += half * f.ay[i]
-					f.vz[i] += half * f.az[i]
+					f.dx[i] = flushTiny(f.dx[i] + (dt*f.vx[i] + halfSq*f.ax[i]))
+					f.dy[i] = flushTiny(f.dy[i] + (dt*f.vy[i] + halfSq*f.ay[i]))
+					f.dz[i] = flushTiny(f.dz[i] + (dt*f.vz[i] + halfSq*f.az[i]))
+					f.vx[i] = flushTiny(f.vx[i] + half*f.ax[i])
+					f.vy[i] = flushTiny(f.vy[i] + half*f.ay[i])
+					f.vz[i] = flushTiny(f.vz[i] + half*f.az[i])
 					f.ax[i], f.ay[i], f.az[i] = 0, 0, 0
 				}
 			}
@@ -99,8 +142,8 @@ func (rs *rankState) predictor() {
 		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
 			for _, fl := range fls {
 				for i := lo; i < hi; i++ {
-					fl.chi[i] += dt*fl.chiDot[i] + halfSq*fl.chiDdot[i]
-					fl.chiDot[i] += half * fl.chiDdot[i]
+					fl.chi[i] = flushTiny(fl.chi[i] + (dt*fl.chiDot[i] + halfSq*fl.chiDdot[i]))
+					fl.chiDot[i] = flushTiny(fl.chiDot[i] + half*fl.chiDdot[i])
 					fl.chiDdot[i] = 0
 				}
 			}
@@ -241,7 +284,7 @@ func (rs *rankState) fluidMassDivision() {
 		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
 			for _, fl := range fls {
 				for i := lo; i < hi; i++ {
-					fl.chiDdot[i] *= fl.massInv[i]
+					fl.chiDdot[i] = flushTiny(fl.chiDdot[i] * fl.massInv[i])
 				}
 			}
 		})
@@ -286,7 +329,7 @@ func (rs *rankState) divideFluidList(list []int32) {
 		for _, fl := range fls {
 			for q := lo; q < hi; q++ {
 				i := list[q]
-				fl.chiDdot[i] *= fl.massInv[i]
+				fl.chiDdot[i] = flushTiny(fl.chiDdot[i] * fl.massInv[i])
 			}
 		}
 	})
@@ -372,20 +415,20 @@ func (rs *rankState) solidUpdate() {
 				for _, f := range fs {
 					for q := lo; q < hi; q++ {
 						i := list[q]
-						f.ax[i] *= f.massInv[i]
-						f.ay[i] *= f.massInv[i]
-						f.az[i] *= f.massInv[i]
+						f.ax[i] = flushTiny(f.ax[i] * f.massInv[i])
+						f.ay[i] = flushTiny(f.ay[i] * f.massInv[i])
+						f.az[i] = flushTiny(f.az[i] * f.massInv[i])
 						if twoOmega != 0 {
-							f.ax[i] += twoOmega * f.vy[i]
-							f.ay[i] -= twoOmega * f.vx[i]
+							f.ax[i] = flushTiny(f.ax[i] + twoOmega*f.vy[i])
+							f.ay[i] = flushTiny(f.ay[i] - twoOmega*f.vx[i])
 						}
 						if f.gOverR != nil {
 							ur := f.dx[i]*f.rhatX[i] + f.dy[i]*f.rhatY[i] + f.dz[i]*f.rhatZ[i]
 							gr := f.gOverR[i]
 							dg := f.dgdr[i]
-							f.ax[i] -= gr*(f.dx[i]-ur*f.rhatX[i]) + dg*ur*f.rhatX[i]
-							f.ay[i] -= gr*(f.dy[i]-ur*f.rhatY[i]) + dg*ur*f.rhatY[i]
-							f.az[i] -= gr*(f.dz[i]-ur*f.rhatZ[i]) + dg*ur*f.rhatZ[i]
+							f.ax[i] = flushTiny(f.ax[i] - (gr*(f.dx[i]-ur*f.rhatX[i]) + dg*ur*f.rhatX[i]))
+							f.ay[i] = flushTiny(f.ay[i] - (gr*(f.dy[i]-ur*f.rhatY[i]) + dg*ur*f.rhatY[i]))
+							f.az[i] = flushTiny(f.az[i] - (gr*(f.dz[i]-ur*f.rhatZ[i]) + dg*ur*f.rhatZ[i]))
 						}
 					}
 				}
@@ -394,17 +437,17 @@ func (rs *rankState) solidUpdate() {
 			rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
 				for _, f := range fs {
 					for i := lo; i < hi; i++ {
-						f.ax[i] *= f.massInv[i]
-						f.ay[i] *= f.massInv[i]
-						f.az[i] *= f.massInv[i]
+						f.ax[i] = flushTiny(f.ax[i] * f.massInv[i])
+						f.ay[i] = flushTiny(f.ay[i] * f.massInv[i])
+						f.az[i] = flushTiny(f.az[i] * f.massInv[i])
 					}
 					// Coriolis: a -= 2 Omega x v with Omega = (0, 0, omega).
 					// The lumped-mass form is exact pointwise because both the
 					// force and the mass carry the same rho*JacW weights.
 					if twoOmega != 0 {
 						for i := lo; i < hi; i++ {
-							f.ax[i] += twoOmega * f.vy[i]
-							f.ay[i] -= twoOmega * f.vx[i]
+							f.ax[i] = flushTiny(f.ax[i] + twoOmega*f.vy[i])
+							f.ay[i] = flushTiny(f.ay[i] - twoOmega*f.vx[i])
 						}
 					}
 					// Background gravity (Cowling-style local term): the
@@ -415,9 +458,9 @@ func (rs *rankState) solidUpdate() {
 							ur := f.dx[i]*f.rhatX[i] + f.dy[i]*f.rhatY[i] + f.dz[i]*f.rhatZ[i]
 							gr := f.gOverR[i]
 							dg := f.dgdr[i]
-							f.ax[i] -= gr*(f.dx[i]-ur*f.rhatX[i]) + dg*ur*f.rhatX[i]
-							f.ay[i] -= gr*(f.dy[i]-ur*f.rhatY[i]) + dg*ur*f.rhatY[i]
-							f.az[i] -= gr*(f.dz[i]-ur*f.rhatZ[i]) + dg*ur*f.rhatZ[i]
+							f.ax[i] = flushTiny(f.ax[i] - (gr*(f.dx[i]-ur*f.rhatX[i]) + dg*ur*f.rhatX[i]))
+							f.ay[i] = flushTiny(f.ay[i] - (gr*(f.dy[i]-ur*f.rhatY[i]) + dg*ur*f.rhatY[i]))
+							f.az[i] = flushTiny(f.az[i] - (gr*(f.dz[i]-ur*f.rhatZ[i]) + dg*ur*f.rhatZ[i]))
 						}
 					}
 				}
@@ -445,9 +488,9 @@ func (rs *rankState) solidUpdate() {
 				for i, pt := range sl.Pts {
 					an := cm.ax[pt]*sl.Nx[i] + cm.ay[pt]*sl.Ny[i] + cm.az[pt]*sl.Nz[i]
 					scale := an * (1 - rs.oceanFactor[i])
-					cm.ax[pt] -= scale * sl.Nx[i]
-					cm.ay[pt] -= scale * sl.Ny[i]
-					cm.az[pt] -= scale * sl.Nz[i]
+					cm.ax[pt] = flushTiny(cm.ax[pt] - scale*sl.Nx[i])
+					cm.ay[pt] = flushTiny(cm.ay[pt] - scale*sl.Ny[i])
+					cm.az[pt] = flushTiny(cm.az[pt] - scale*sl.Nz[i])
 				}
 			}
 			rs.prof.AddFlops(perf.PhaseUpdate, rs.fc.OceanPoint*int64(len(sl.Pts)*rs.ns))
@@ -473,9 +516,9 @@ func (rs *rankState) corrector() {
 		rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
 			for _, f := range fs {
 				for i := lo; i < hi; i++ {
-					f.vx[i] += half * f.ax[i]
-					f.vy[i] += half * f.ay[i]
-					f.vz[i] += half * f.az[i]
+					f.vx[i] = flushTiny(f.vx[i] + half*f.ax[i])
+					f.vy[i] = flushTiny(f.vy[i] + half*f.ay[i])
+					f.vz[i] = flushTiny(f.vz[i] + half*f.az[i])
 				}
 			}
 		})
@@ -507,7 +550,7 @@ func (rs *rankState) fluidCorrector() {
 	rs.pool.sweepRange(rs.scr, n, &rs.updateBusy, func(lo, hi int) {
 		for _, fl := range fls {
 			for i := lo; i < hi; i++ {
-				fl.chiDot[i] += half * fl.chiDdot[i]
+				fl.chiDot[i] = flushTiny(fl.chiDot[i] + half*fl.chiDdot[i])
 			}
 		}
 	})
