@@ -154,6 +154,40 @@ func invert3x3(cols [3]cubedsphere.Vec3) (rows [3]cubedsphere.Vec3, det float64)
 	return rows, det
 }
 
+// jacobianResidueRel is the relative magnitude below which an entry of
+// a point's inverse Jacobian is float64 round-off of an exact zero. The
+// cofactor inverse leaves such entries at ~1e-19 of the point's largest
+// one instead of 0; stored to float32 they are ~1e-25 m^-1 and turn
+// every force-kernel product with a gradient below ~1e-13 into a
+// subnormal. 2^-40 ≈ 9.1e-13 sits far above float64 cofactor round-off
+// (~1e-16 relative) and far below what float32 can resolve: a dropped
+// term stays under half a float32 ulp of the gradient sum unless two
+// reference gradients differ by more than 2^15. On the PREM NEX 8
+// globe no entry lies between 1.7e-16 and 5.2e-4 of its point's
+// largest, so the rule separates residue from geometry.
+const jacobianResidueRel = 0x1p-40
+
+// snapResidue sets every entry of the inverse-Jacobian rows whose
+// magnitude is below jacobianResidueRel of the largest one to exactly 0.
+func snapResidue(rows *[3]cubedsphere.Vec3) {
+	largest := 0.0
+	for _, row := range rows {
+		for _, v := range row {
+			if a := math.Abs(v); a > largest {
+				largest = a
+			}
+		}
+	}
+	floor := jacobianResidueRel * largest
+	for i := range rows {
+		for c, v := range rows[i] {
+			if math.Abs(v) < floor {
+				rows[i][c] = 0
+			}
+		}
+	}
+}
+
 // elemGeom is a callback bundle describing one element's mapping. The
 // point callback takes GLL indices, not lerp factors: coincident points
 // of adjacent elements must flow through identical (or symmetric, see
@@ -183,6 +217,7 @@ func fillElement(r *mesh.Region, pi *mesh.PointIndexer, e int, g elemGeom) {
 					// Meshing bug; fail loudly with context.
 					panic("meshfem: non-positive Jacobian determinant")
 				}
+				snapResidue(&rows)
 				r.Xix[ip] = float32(rows[0][0])
 				r.Xiy[ip] = float32(rows[0][1])
 				r.Xiz[ip] = float32(rows[0][2])
